@@ -44,8 +44,8 @@
 // or "reactive"): it provisions and retires nodes mid-run across the
 // spot → on-demand → reserved tier ladder, and its capacity churn
 // shows up in -events output as NodeProvisioned / NodeRetired. It
-// composes with every scheduler, -trace, -scenario, -report and
-// -shards; federation members manage capacity per engine, so it is
+// composes with every scheduler, -trace, -scenario and -report;
+// federation members manage capacity per engine, so it is
 // rejected alongside -federation.
 package main
 
@@ -75,7 +75,6 @@ func main() {
 	route := flag.String("route", "least-loaded", "federation route policy (least-loaded, cheapest-spot, forecast-aware, round-robin)")
 	tracePath := flag.String("trace", "", "replay this trace file (streamed; gzip and format auto-detected) instead of generating a workload")
 	report := flag.String("report", "", "emit the collected run report in this format (text, jsonl, csv, prom)")
-	shards := flag.Int("shards", 0, "event-loop shards (0 = GFS_SHARDS env, then serial); results are byte-identical at any value")
 	autoscalePolicy := flag.String("autoscale", "", "capacity autoscaler policy (predictive, reactive); provisions/retires nodes mid-run")
 	flag.Parse()
 
@@ -112,7 +111,7 @@ func main() {
 				fail(fmt.Errorf("-autoscale does not apply to -federation (members manage capacity per engine)"))
 			}
 		})
-		runFederation(scale, *spotScale, *scenario, *route, *events, *shards, *tracePath, *report)
+		runFederation(scale, *spotScale, *scenario, *route, *events, *tracePath, *report)
 		return
 	}
 
@@ -126,9 +125,6 @@ func main() {
 	}
 
 	var extra []gfs.Option
-	if *shards > 0 {
-		extra = append(extra, gfs.WithShards(*shards))
-	}
 	if *autoscalePolicy != "" {
 		pol, err := gfs.NamedAutoscaler(*autoscalePolicy)
 		if err != nil {
@@ -260,7 +256,7 @@ func runSched(scale experiments.SimScale, sc sched.Scheduler, quota sched.QuotaP
 // scenario (when given) hits west only. With a trace path the
 // federation replays the streamed file instead of a generated
 // workload.
-func runFederation(scale experiments.SimScale, spotScale float64, scenario, route string, events, shards int, tracePath, report string) {
+func runFederation(scale experiments.SimScale, spotScale float64, scenario, route string, events int, tracePath, report string) {
 	policies := map[string]func() gfs.RoutePolicy{
 		"least-loaded":   gfs.RouteLeastLoaded,
 		"cheapest-spot":  gfs.RouteCheapestSpot,
@@ -286,9 +282,6 @@ func runFederation(scale experiments.SimScale, spotScale float64, scenario, rout
 		{Name: "east", Engine: gfs.NewEngine(scale.NewCluster())},
 	}
 	fedOpts := []gfs.FederationOption{gfs.WithRoute(mk())}
-	if shards > 0 {
-		fedOpts = append(fedOpts, gfs.WithFederationShards(shards))
-	}
 	if report != "" {
 		fedOpts = append(fedOpts, gfs.WithFederationCollectors(nil))
 	}

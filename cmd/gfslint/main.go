@@ -1,6 +1,6 @@
 // Command gfslint is the determinism-contract checker: a multichecker
 // over the internal/lint analyzer suite (mapiter, wallclock,
-// goroutine, floatfold, eventemit) plus //lint:ordered waiver hygiene.
+// goroutine, eventemit) plus //lint:ordered waiver hygiene.
 //
 // Usage:
 //

@@ -279,13 +279,3 @@ func TestRunBatchRecoversPanics(t *testing.T) {
 		t.Fatalf("healthy spec should succeed: %v", results[1].Err)
 	}
 }
-
-// TestDeprecatedWrappersStillWork: the pre-Engine entry points keep
-// their behavior (they now delegate to the Engine).
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	tasks := []*gfs.Task{gfs.NewTask(1, gfs.HP, 1, 8, gfs.Hour)}
-	res := gfs.SimulateScheduler(gfs.NewCluster("A100", 2, 8), gfs.NewYARNCS(), nil, tasks)
-	if res.UnfinishedHP != 0 {
-		t.Fatal("wrapper run failed")
-	}
-}

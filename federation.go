@@ -142,9 +142,6 @@ type Federation struct {
 	spill     SpilloverPolicy
 	delay     Duration
 	observers []Observer
-	// shards is the default member shard count from
-	// WithFederationShards; members that set their own keep it.
-	shards int
 	// src is the streaming trace attached by
 	// WithFederationTraceSource, drained by a RunBatch replay spec.
 	src TraceSource
@@ -204,14 +201,6 @@ func WithFederationCollectors(mk func() []Collector) FederationOption {
 		}
 		f.collectMk = mk
 	}
-}
-
-// WithFederationShards partitions every member's event loop across n
-// shards (see WithShards). Members whose engines already set a shard
-// count keep it; the result is byte-identical to an unsharded
-// federation for any combination of member shard counts.
-func WithFederationShards(n int) FederationOption {
-	return func(f *Federation) { f.shards = n }
 }
 
 // WithFederationTraceSource attaches a streaming trace for replay.
@@ -438,9 +427,6 @@ func (f *Federation) fedConfig() sched.FedConfig {
 			Name:      m.Name,
 			Cfg:       m.Engine.Config(),
 			SpotPrice: m.spotPrice(),
-		}
-		if fm.Cfg.Shards == 0 {
-			fm.Cfg.Shards = f.shards
 		}
 		if m.Profile != nil {
 			p := *m.Profile

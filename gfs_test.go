@@ -49,7 +49,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	opts := gfs.DefaultOptions()
 	opts.Estimator = est
 	sys := gfs.NewSystem(opts)
-	res := gfs.Simulate(cl, sys, tasks)
+	res := gfs.NewEngine(cl, gfs.WithSystem(sys)).Run(tasks)
 	if res.HP.Count == 0 || res.Spot.Count == 0 {
 		t.Fatal("missing task classes")
 	}
@@ -71,7 +71,7 @@ func TestFacadeBaselines(t *testing.T) {
 			gfs.NewTask(1, gfs.HP, 1, 8, gfs.Hour),
 			gfs.NewTask(2, gfs.Spot, 1, 4, 30*gfs.Minute),
 		}
-		res := gfs.SimulateScheduler(cl, s, gfs.UnlimitedQuota(), tasks)
+		res := gfs.NewEngine(cl, gfs.WithScheduler(s), gfs.WithQuota(gfs.UnlimitedQuota())).Run(tasks)
 		if res.UnfinishedHP != 0 || res.UnfinishedSpot != 0 {
 			t.Fatalf("%s: unfinished tasks", s.Name())
 		}
@@ -84,7 +84,7 @@ func TestFacadeStaticQuota(t *testing.T) {
 		gfs.NewTask(1, gfs.Spot, 1, 8, 30*gfs.Minute),
 		gfs.NewTask(2, gfs.Spot, 1, 8, 30*gfs.Minute),
 	}
-	res := gfs.SimulateScheduler(cl, gfs.NewStaticFirstFit(), gfs.StaticQuota(0.5), tasks)
+	res := gfs.NewEngine(cl, gfs.WithScheduler(gfs.NewStaticFirstFit()), gfs.WithQuota(gfs.StaticQuota(0.5))).Run(tasks)
 	if res.UnfinishedSpot != 0 {
 		t.Fatal("spot tasks should serialize under the quota, not stall")
 	}
@@ -103,7 +103,7 @@ func TestFacadeHeterogeneousCluster(t *testing.T) {
 	}
 	tk := gfs.NewTask(1, gfs.HP, 1, 8, gfs.Hour)
 	tk.GPUModel = "A100"
-	res := gfs.SimulateScheduler(cl, gfs.NewYARNCS(), nil, []*gfs.Task{tk})
+	res := gfs.NewEngine(cl, gfs.WithScheduler(gfs.NewYARNCS())).Run([]*gfs.Task{tk})
 	if res.UnfinishedHP != 0 {
 		t.Fatal("model-constrained task should run on the A100 pool")
 	}

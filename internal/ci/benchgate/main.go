@@ -11,14 +11,7 @@
 //	    -benchtime=100x -count=6 . | tee bench.txt
 //	go run ./internal/ci/benchgate -input bench.txt \
 //	    -out BENCH_$(git rev-parse --short HEAD).json \
-//	    -baseline BENCH_baseline.json \
-//	    -speedup 'BenchmarkSim10KParallel/BenchmarkSim10K=1.5'
-//
-// -speedup asserts a within-run ratio (so it needs no baseline and is
-// immune to hardware drift): the first benchmark's median ns/op must
-// beat the second's by the given factor. On runners with ≤2 cores the
-// assertion demotes to a warning — a sharded run cannot outpace its
-// serial twin without cores to spread over.
+//	    -baseline BENCH_baseline.json
 //
 // To refresh the committed baseline after an intentional performance
 // change (or to seed it for a new runner class), download the
@@ -72,7 +65,6 @@ func main() {
 	out := flag.String("out", "", "write the parsed report to this JSON file")
 	baseline := flag.String("baseline", "", "compare against this committed baseline report")
 	threshold := flag.Float64("threshold", 0.15, "allowed median regression fraction")
-	speedup := flag.String("speedup", "", "assert `Fast/Slow=ratio`: Fast's median ns/op beats Slow's by ratio (warn-only on ≤2-core runners)")
 	sha := flag.String("sha", os.Getenv("GITHUB_SHA"), "commit the report describes")
 	flag.Parse()
 
@@ -138,76 +130,6 @@ func main() {
 		fmt.Printf("bench gate passed (threshold %.0f%%)\n", 100**threshold)
 	}
 
-	if *speedup != "" {
-		msgs, err := gateSpeedup(report, *speedup)
-		if err != nil {
-			fatal(err)
-		}
-		if len(msgs) > 0 {
-			// A parallel benchmark cannot beat its serial twin without
-			// cores to run on, so starved runners only warn.
-			if runtime.NumCPU() <= 2 {
-				for _, msg := range msgs {
-					fmt.Fprintf(os.Stderr,
-						"benchgate: WARNING (speedup gate disarmed on %d-core runner): %s\n",
-						runtime.NumCPU(), msg)
-				}
-			} else {
-				for _, msg := range msgs {
-					fmt.Fprintln(os.Stderr, "REGRESSION:", msg)
-				}
-				os.Exit(1)
-			}
-		} else {
-			fmt.Printf("speedup gate passed (%s)\n", *speedup)
-		}
-	}
-}
-
-// gateSpeedup checks a "Fast/Slow=ratio" assertion against the current
-// report: Fast's median ns/op must be at least ratio times lower than
-// Slow's. A benchmark missing from the report fails the assertion — a
-// silently dropped benchmark must not pass as "fast enough". The spec
-// itself being malformed is an error, not a gate failure.
-func gateSpeedup(cur *Report, spec string) ([]string, error) {
-	names, ratioStr, ok := strings.Cut(spec, "=")
-	if !ok {
-		return nil, fmt.Errorf("bad -speedup %q: want Fast/Slow=ratio", spec)
-	}
-	fast, slow, ok := strings.Cut(names, "/")
-	if !ok || fast == "" || slow == "" {
-		return nil, fmt.Errorf("bad -speedup %q: want Fast/Slow=ratio", spec)
-	}
-	want, err := strconv.ParseFloat(ratioStr, 64)
-	if err != nil || want <= 0 {
-		return nil, fmt.Errorf("bad -speedup ratio %q: want a positive number", ratioStr)
-	}
-	f, fok := cur.Benchmarks[fast]
-	s, sok := cur.Benchmarks[slow]
-	if !fok || !sok {
-		var out []string
-		if !fok {
-			out = append(out, fmt.Sprintf("%s: required by -speedup but missing from this run", fast))
-		}
-		if !sok {
-			out = append(out, fmt.Sprintf("%s: required by -speedup but missing from this run", slow))
-		}
-		return out, nil
-	}
-	if f.MedianNsOp <= 0 {
-		return nil, fmt.Errorf("%s: non-positive median ns/op", fast)
-	}
-	got := s.MedianNsOp / f.MedianNsOp
-	status := "ok"
-	var out []string
-	if got < want {
-		status = "FAIL"
-		out = append(out, fmt.Sprintf("%s is %.2fx faster than %s, want >= %.2fx",
-			fast, got, slow, want))
-	}
-	fmt.Printf("%-24s %12.0f ns/op vs %s %0.f (%.2fx, want %.2fx) %s\n",
-		fast, f.MedianNsOp, slow, s.MedianNsOp, got, want, status)
-	return out, nil
 }
 
 // parseBench extracts ns/op samples from `go test -bench` output.

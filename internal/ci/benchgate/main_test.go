@@ -99,34 +99,6 @@ func TestComparableRequiresMatchingHardware(t *testing.T) {
 	}
 }
 
-// TestGateSpeedup: the within-run speedup assertion passes when the
-// fast benchmark beats the slow one by the requested factor, fails
-// below it or when either benchmark is missing, and rejects malformed
-// specs as errors rather than gate verdicts.
-func TestGateSpeedup(t *testing.T) {
-	cur := &Report{Benchmarks: map[string]BenchStat{
-		"BenchmarkSim10K":         {MedianNsOp: 3000},
-		"BenchmarkSim10KParallel": {MedianNsOp: 1000},
-	}}
-	msgs, err := gateSpeedup(cur, "BenchmarkSim10KParallel/BenchmarkSim10K=1.5")
-	if err != nil || len(msgs) != 0 {
-		t.Fatalf("3x speedup must pass a 1.5x gate: msgs=%v err=%v", msgs, err)
-	}
-	msgs, err = gateSpeedup(cur, "BenchmarkSim10KParallel/BenchmarkSim10K=4.0")
-	if err != nil || len(msgs) != 1 {
-		t.Fatalf("3x speedup must fail a 4x gate once: msgs=%v err=%v", msgs, err)
-	}
-	msgs, err = gateSpeedup(cur, "BenchmarkMissing/BenchmarkSim10K=1.5")
-	if err != nil || len(msgs) != 1 {
-		t.Fatalf("a missing benchmark must fail the gate: msgs=%v err=%v", msgs, err)
-	}
-	for _, bad := range []string{"no-equals", "noSlash=1.5", "a/b=junk", "a/b=-1"} {
-		if _, err := gateSpeedup(cur, bad); err == nil {
-			t.Fatalf("malformed spec %q must be an error", bad)
-		}
-	}
-}
-
 func TestGate(t *testing.T) {
 	base := &Report{Benchmarks: map[string]BenchStat{
 		"BenchmarkSim":        {MedianNsOp: 1000},

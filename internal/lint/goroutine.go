@@ -5,61 +5,26 @@ import (
 )
 
 // Goroutine flags raw go statements in simulator-core packages. The
-// sharded engine's byte-identity proof rests on every fan-out running
-// under the epoch-barrier shardGroup pool (internal/sched/shard.go):
-// workers park between barriers, writes stay in per-shard slots, and
-// reduces happen in shard order. An ad-hoc goroutine has none of those
-// guarantees — its writes land whenever the runtime schedules them,
-// which is exactly the nondeterminism the golden corpus exists to
-// catch. Concurrency belongs behind shardGroup/Parallel; anything else
-// needs a //lint:ordered waiver explaining why ordering cannot leak.
+// core runs one serial event loop, and its byte-identity rests on
+// every write happening in event order. A goroutine's writes land
+// whenever the runtime schedules them, which is exactly the
+// nondeterminism the golden corpus exists to catch. Parallelism
+// belongs across runs (RunBatch, gfsd's worker pool), never inside
+// one; a go statement the core truly needs carries a //lint:ordered
+// waiver explaining why ordering cannot leak.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
-	Doc: "flags raw go statements in simulator-core packages outside the " +
-		"blessed shardGroup/Parallel fan-out",
-	Run: runGoroutine,
-}
-
-// blessedFanOutRecv names the receiver types whose methods may spawn
-// goroutines: the epoch-barrier worker pool itself.
-var blessedFanOutRecv = map[string]bool{
-	"shardGroup": true,
-}
-
-// blessedFanOutFuncs names the free functions allowed to spawn
-// goroutines: the pool's constructor, which parks the workers before
-// any barrier runs.
-var blessedFanOutFuncs = map[string]bool{
-	"newShardGroup": true,
+	Doc:  "flags every raw go statement in simulator-core packages",
+	Run:  runGoroutine,
 }
 
 func runGoroutine(p *Pass) {
 	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if ok && blessedFanOut(fd) {
-				continue
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				p.Reportf(g.Pos(), "raw go statement in the serial simulator core; goroutine writes land in scheduling order, not event order — parallelize across runs instead, or waive with //lint:ordered <reason>")
 			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				if g, ok := n.(*ast.GoStmt); ok {
-					p.Reportf(g.Pos(), "raw go statement outside the shardGroup/Parallel fan-out; ad-hoc goroutines break the epoch-barrier event order — route the work through the shard worker pool, or waive with //lint:ordered <reason>")
-				}
-				return true
-			})
-		}
+			return true
+		})
 	}
-}
-
-// blessedFanOut reports whether the declaration is a method of a
-// blessed fan-out type or a blessed constructor.
-func blessedFanOut(fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name != nil && blessedFanOutFuncs[fd.Name.Name]
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	id, ok := t.(*ast.Ident)
-	return ok && blessedFanOutRecv[id.Name]
 }

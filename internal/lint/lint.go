@@ -2,21 +2,17 @@
 // suite that guards the golden corpus at compile time.
 //
 // Every layer of this reproduction — the Eq. 13–16 placement loop, the
-// sharded event spine, the autoscaler — stands on one contract: runs
-// are byte-identical across GOMAXPROCS × shards. The dynamic proof is
-// TestGoldenCorpus/TestShardEquivalence; this package is the static
-// half, promoting the checklist in docs/performance.md to
-// machine-checked rules:
+// event spine, the autoscaler — stands on one contract: runs are
+// byte-identical across GOMAXPROCS and batch worker counts. The
+// dynamic proof is TestGoldenCorpus; this package is the static half,
+// promoting the checklist in docs/performance.md to machine-checked
+// rules:
 //
 //   - mapiter: no range over a map in determinism-critical packages
 //     unless the loop only collects keys for sorting.
 //   - wallclock: no time.Now/Since/Until and no global math/rand in
 //     those packages; seeded rand.New(rand.NewSource(...)) stays legal.
-//   - goroutine: no raw go statements in the simulator core outside
-//     the blessed shardGroup/Parallel fan-out.
-//   - floatfold: no captured float accumulation inside Parallel scan
-//     callbacks; folds must go through per-shard slots reduced in
-//     shard order.
+//   - goroutine: no raw go statements in the serial simulator core.
 //   - eventemit: sched.Event values are constructed only on the emit
 //     path that stamps At/Seq under the global sequence.
 //
@@ -104,7 +100,7 @@ func (f Finding) String() string {
 
 // Analyzers returns the full rule suite in catalogue order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapIter, WallClock, Goroutine, FloatFold, EventEmit}
+	return []*Analyzer{MapIter, WallClock, Goroutine, EventEmit}
 }
 
 // CheckPackage runs every analyzer the class enables over one loaded

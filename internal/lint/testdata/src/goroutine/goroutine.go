@@ -1,19 +1,20 @@
-// Package goroutine is the fixture for the goroutine rule: raw go
-// statements are flagged everywhere except inside the blessed
-// shardGroup worker pool (its methods and its constructor).
+// Package goroutine is the fixture for the goroutine rule: every raw
+// go statement is flagged unless it carries a waiver.
 package goroutine
 
-// shardGroup mimics the epoch-barrier pool in internal/sched.
-type shardGroup struct {
+// workerPool stands in for the barrier worker pool whose methods and
+// constructor this rule used to exempt; no receiver type or function
+// name is exempt any more.
+type workerPool struct {
 	work chan func()
 }
 
-// newShardGroup is the blessed constructor: it parks the workers
-// before any barrier runs.
-func newShardGroup(n int) *shardGroup {
-	g := &shardGroup{work: make(chan func())}
+// newShardGroup carries the constructor name the rule used to exempt;
+// it spawns workers and must be flagged.
+func newShardGroup(n int) *workerPool {
+	g := &workerPool{work: make(chan func())}
 	for i := 0; i < n; i++ {
-		go func() {
+		go func() { // want "raw go statement in the serial simulator core"
 			for f := range g.work {
 				f()
 			}
@@ -22,22 +23,16 @@ func newShardGroup(n int) *shardGroup {
 	return g
 }
 
-// run is a blessed method: fan-out under the pool's barrier.
-func (g *shardGroup) run(f func()) {
-	go f()
+// run is a method on a pool type and must be flagged.
+func (g *workerPool) run(f func()) {
+	go f() // want "raw go statement in the serial simulator core"
 }
 
-// rogue spawns outside the pool and must be flagged.
-func rogue(f func()) {
-	go f() // want "raw go statement outside the shardGroup/Parallel fan-out"
-}
-
-// rogueInLit is a go statement inside a closure of an unblessed
-// function — still flagged; blessing is per-declaration.
+// rogueInLit is a go statement inside a closure — still flagged.
 func rogueInLit(fs []func()) func() {
 	return func() {
 		for _, f := range fs {
-			go f() // want "raw go statement outside the shardGroup/Parallel fan-out"
+			go f() // want "raw go statement in the serial simulator core"
 		}
 	}
 }

@@ -69,16 +69,8 @@ type Scheduler struct {
 	// per node, keyed on the node's occupancy version: a scheduling
 	// pass re-scores only the nodes whose free capacity changed since
 	// the last look (its dirty set) instead of recomputing every node
-	// for every pod. Indexed by node ID; grown on demand (pre-grown
-	// before a sharded scan so ranges write disjoint slots).
+	// for every pod. Indexed by node ID; grown on demand.
 	scoreCache []cachedScore
-
-	// Per-shard scratch for sharded scans (see Context.Par): local
-	// argmax winners, deferred breaker trips, and preemption
-	// candidates, reused across scans.
-	parBest  []scored
-	parTrips [][]*cluster.Node
-	parPre   []preemptCand
 }
 
 // cachedScore holds a node's packing score (Eq. 13) and both class
@@ -207,34 +199,11 @@ func (s *Scheduler) nonPreemptive(ctx *sched.Context, tk *task.Task) (*sched.Dec
 // single maximum of the lexicographic (score1, score2, score3,
 // lowest-ID) order in one pass. The comparator is exactly the one the
 // former sort used, and node-ID tie-breaking makes it a total order,
-// so the argmax equals the sorted head — which is also why the
-// sharded fan-out below can scan contiguous ranges independently and
-// reduce their winners in shard order without changing the answer.
+// so the argmax equals the sorted head.
 func (s *Scheduler) bestNode(ctx *sched.Context, tk *task.Task) *cluster.Node {
-	nodes := ctx.State.Cluster.NodesOfModel(tk.GPUModel)
-	if n, ok := s.bestNodeSharded(ctx, tk, nodes); ok {
-		return n
-	}
-	var best scored
-	_, trips, _ := s.scratch(1)
-	trips[0] = s.scanBest(ctx, tk, nodes, &best, trips[0][:0])
-	s.applyTrips(ctx, trips)
-	return best.node
-}
-
-// scanBest runs the Algorithm 1 candidate loop over one node range,
-// updating *best under the scoredBetter order. Nodes whose spot
-// Score3 collapsed are appended to trips instead of entering the
-// breaker blacklist immediately: within a single scan a node's
-// blacklist entry can never affect any other node (each node is
-// visited exactly once and trip implies skip), so deferring the map
-// writes to the post-scan barrier is observationally identical in
-// serial and makes the parallel ranges write-free on shared state.
-// The scoreCache writes are per-node slots pre-grown by the sharded
-// caller, hence disjoint between ranges.
-func (s *Scheduler) scanBest(ctx *sched.Context, tk *task.Task, nodes []*cluster.Node, best *scored, trips []*cluster.Node) []*cluster.Node {
 	colocFirst := s.cfg.CoLocationFirst
-	for _, n := range nodes {
+	var best scored
+	for _, n := range ctx.State.Cluster.NodesOfModel(tk.GPUModel) {
 		if !n.CanFitPod(tk) {
 			continue
 		}
@@ -244,7 +213,7 @@ func (s *Scheduler) scanBest(ctx *sched.Context, tk *task.Task, nodes []*cluster
 			// Score3 > 0; tripping nodes enter the breaker
 			// blacklist.
 			if s3 <= 0 {
-				trips = append(trips, n)
+				s.tripBreaker(n, ctx.Now)
 				continue
 			}
 			if s.spotBlocked(n, ctx.Now) {
@@ -252,85 +221,11 @@ func (s *Scheduler) scanBest(ctx *sched.Context, tk *task.Task, nodes []*cluster
 			}
 		}
 		cand := scored{node: n, s1: s1, s2: s2, s3: s3}
-		if best.node == nil || scoredBetter(&cand, best, colocFirst) {
-			*best = cand
+		if best.node == nil || scoredBetter(&cand, &best, colocFirst) {
+			best = cand
 		}
 	}
-	return trips
-}
-
-// applyTrips commits the deferred breaker trips in shard order. Every
-// trip in one scan stamps the same expiry and distinct nodes, so the
-// resulting blacklist is identical to the serial scan's.
-func (s *Scheduler) applyTrips(ctx *sched.Context, trips [][]*cluster.Node) {
-	for _, ts := range trips {
-		for _, n := range ts {
-			s.tripBreaker(n, ctx.Now)
-		}
-	}
-}
-
-// scratch ensures the per-shard result and trip buffers cover shards
-// slots and returns them truncated to that size.
-func (s *Scheduler) scratch(shards int) ([]scored, [][]*cluster.Node, []preemptCand) {
-	if cap(s.parBest) < shards {
-		s.parBest = make([]scored, shards)
-		s.parTrips = make([][]*cluster.Node, shards)
-		s.parPre = make([]preemptCand, shards)
-	}
-	return s.parBest[:shards], s.parTrips[:shards], s.parPre[:shards]
-}
-
-// bestNodeSharded fans the Algorithm 1 scan over the shard workers.
-// It reports ok=false when the run is unsharded or the candidate set
-// is too small to pay for the barrier, in which case the caller runs
-// the serial loop.
-func (s *Scheduler) bestNodeSharded(ctx *sched.Context, tk *task.Task, nodes []*cluster.Node) (*cluster.Node, bool) {
-	par := ctx.Par
-	if par == nil || len(nodes) == 0 {
-		return nil, false
-	}
-	shards := par.Shards()
-	best, trips, _ := s.scratch(shards)
-	for i := range best {
-		best[i] = scored{}
-		trips[i] = trips[i][:0]
-	}
-	s.growCache(nodes)
-	if !par.Scan(len(nodes), func(shard, lo, hi int) {
-		var b scored
-		trips[shard] = s.scanBest(ctx, tk, nodes[lo:hi], &b, trips[shard])
-		best[shard] = b
-	}) {
-		return nil, false
-	}
-	s.applyTrips(ctx, trips)
-	colocFirst := s.cfg.CoLocationFirst
-	var win scored
-	for i := range best {
-		if best[i].node == nil {
-			continue
-		}
-		if win.node == nil || scoredBetter(&best[i], &win, colocFirst) {
-			win = best[i]
-		}
-	}
-	return win.node, true
-}
-
-// growCache pre-extends the score cache to cover every candidate's
-// node ID, so the parallel ranges only write disjoint, pre-existing
-// slots and never trigger the append-grow path concurrently.
-func (s *Scheduler) growCache(nodes []*cluster.Node) {
-	maxID := 0
-	for _, n := range nodes {
-		if n.ID > maxID {
-			maxID = n.ID
-		}
-	}
-	for maxID >= len(s.scoreCache) {
-		s.scoreCache = append(s.scoreCache, cachedScore{})
-	}
+	return best.node
 }
 
 // scoredBetter reports whether a precedes b in the node preference
@@ -395,31 +290,14 @@ type preemptCand struct {
 }
 
 // bestPreemption evaluates candidate nodes for one pod and returns
-// the minimum-cost node with its trimmed victim set. evictedSoFar
-// feeds the |T_k| term so multi-pod placements account for earlier
-// victims.
+// the minimum-cost node with its trimmed victim set (Alg. 2). Ties on
+// cost go to the lowest node ID. evictedSoFar feeds the |T_k| term so
+// multi-pod placements account for earlier victims.
 func (s *Scheduler) bestPreemption(ctx *sched.Context, tk *task.Task, evictedSoFar int) (*cluster.Node, []*task.Task) {
-	nodes := ctx.State.Cluster.NodesOfModel(tk.GPUModel)
-	if cand, ok := s.bestPreemptionSharded(ctx, tk, evictedSoFar, nodes); ok {
-		return cand.node, cand.victims
-	}
-	cand := s.scanPreempt(ctx, tk, evictedSoFar, nodes)
-	return cand.node, cand.victims
-}
-
-// scanPreempt runs the Algorithm 2 node loop over one range. Victim
-// sets are pure functions of node state, so ranges can be scanned
-// concurrently; the cost comparator's node-ID tie-break makes the
-// argmin a total order, so a shard-ordered reduce of range winners
-// equals the full serial scan. Under RandomPreemption the range
-// winner is its first feasible node, and the reduce takes the lowest
-// shard's — the global first feasible, matching the serial early
-// return (which merely avoided costing the rest).
-func (s *Scheduler) scanPreempt(ctx *sched.Context, tk *task.Task, evictedSoFar int, nodes []*cluster.Node) preemptCand {
 	need := podNeed(tk)
 	elapsed := ctx.ElapsedSeconds()
 	cand := preemptCand{cost: math.Inf(1)}
-	for _, n := range nodes {
+	for _, n := range ctx.State.Cluster.NodesOfModel(tk.GPUModel) {
 		victims := s.victimSet(ctx, n, need)
 		if victims == nil {
 			continue
@@ -427,7 +305,7 @@ func (s *Scheduler) scanPreempt(ctx *sched.Context, tk *task.Task, evictedSoFar 
 		if s.cfg.RandomPreemption {
 			// GFS-p ablation: arbitrary node choice — take the
 			// first feasible node without costing it.
-			return preemptCand{node: n, victims: victims}
+			return n, victims
 		}
 		// Eq. 18's usage impact normalizes by S_k·T, "the total
 		// execution time of GPUs in node n_k": per-node capacity
@@ -440,42 +318,7 @@ func (s *Scheduler) scanPreempt(ctx *sched.Context, tk *task.Task, evictedSoFar 
 			cand = preemptCand{node: n, victims: victims, cost: cost}
 		}
 	}
-	return cand
-}
-
-// bestPreemptionSharded fans the Algorithm 2 scan over the shard
-// workers, reducing range winners in shard order with the serial
-// comparator. ok=false means the caller should scan serially.
-func (s *Scheduler) bestPreemptionSharded(ctx *sched.Context, tk *task.Task, evictedSoFar int, nodes []*cluster.Node) (preemptCand, bool) {
-	par := ctx.Par
-	if par == nil || len(nodes) == 0 {
-		return preemptCand{}, false
-	}
-	shards := par.Shards()
-	_, _, pre := s.scratch(shards)
-	for i := range pre {
-		pre[i] = preemptCand{cost: math.Inf(1)}
-	}
-	if !par.Scan(len(nodes), func(shard, lo, hi int) {
-		pre[shard] = s.scanPreempt(ctx, tk, evictedSoFar, nodes[lo:hi])
-	}) {
-		return preemptCand{}, false
-	}
-	win := preemptCand{cost: math.Inf(1)}
-	for i := range pre {
-		if pre[i].node == nil {
-			continue
-		}
-		if s.cfg.RandomPreemption {
-			// Lowest shard with a feasible node holds the global
-			// first feasible.
-			return pre[i], true
-		}
-		if pre[i].cost < win.cost || (pre[i].cost == win.cost && win.node != nil && pre[i].node.ID < win.node.ID) {
-			win = pre[i]
-		}
-	}
-	return win, true
+	return cand.node, cand.victims
 }
 
 // victimSet returns the minimal victim set on n freeing need whole

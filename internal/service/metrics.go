@@ -23,6 +23,8 @@ type daemonMetrics struct {
 	done      uint64
 	failed    uint64
 	cancelled uint64
+	// panicked counts runs that panicked; each also counts as failed.
+	panicked uint64
 	// ttfe holds recent time-to-first-event samples in seconds, as a
 	// ring once full.
 	ttfe     []float64
@@ -51,6 +53,13 @@ func (m *daemonMetrics) sessionFinished(st State) {
 	m.mu.Unlock()
 }
 
+// sessionPanicked counts one run that panicked.
+func (m *daemonMetrics) sessionPanicked() {
+	m.mu.Lock()
+	m.panicked++
+	m.mu.Unlock()
+}
+
 // recordTTFE records one session's submission→first-event latency.
 func (m *daemonMetrics) recordTTFE(d time.Duration) {
 	m.mu.Lock()
@@ -69,7 +78,7 @@ func (m *daemonMetrics) recordTTFE(d time.Duration) {
 // scrape time.
 func (m *daemonMetrics) write(w io.Writer, queueDepth, activeRuns int64, workers int) error {
 	m.mu.Lock()
-	started, done, failed, cancelled := m.started, m.done, m.failed, m.cancelled
+	started, done, failed, cancelled, panicked := m.started, m.done, m.failed, m.cancelled, m.panicked
 	ttfe := append([]float64(nil), m.ttfe...)
 	ttfeN := m.ttfeN
 	m.mu.Unlock()
@@ -86,6 +95,8 @@ func (m *daemonMetrics) write(w io.Writer, queueDepth, activeRuns int64, workers
 			fmt.Sprintf(`gfsd_sessions_finished_total{state="failed"} %d`, failed),
 			fmt.Sprintf(`gfsd_sessions_finished_total{state="cancelled"} %d`, cancelled),
 		}},
+		{"gfsd_sessions_panicked_total", "Sessions whose run panicked; each also counts as failed.", "counter",
+			[]string{fmt.Sprintf("gfsd_sessions_panicked_total %d", panicked)}},
 		{"gfsd_sessions_active", "Sessions currently queued or running.", "gauge",
 			[]string{fmt.Sprintf("gfsd_sessions_active %d", started-done-failed-cancelled)}},
 		{"gfsd_queue_depth", "Sessions waiting in the worker backlog.", "gauge",

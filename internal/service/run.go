@@ -43,9 +43,6 @@ func runSpec(ctx context.Context, sp RunSpec, src gfs.TraceSource, obs gfs.Obser
 	if src != nil {
 		opts = append(opts, gfs.WithTraceSource(src))
 	}
-	if sp.Shards > 0 {
-		opts = append(opts, gfs.WithShards(sp.Shards))
-	}
 	if sp.Autoscale != nil {
 		// A fresh policy per run: the policy keeps per-run state, and
 		// runSpec may execute concurrently across sessions.
@@ -97,9 +94,6 @@ func runFedSpec(ctx context.Context, sp RunSpec, src gfs.TraceSource, obs gfs.Ob
 	fedOpts := []gfs.FederationOption{
 		gfs.WithRoute(routePolicies[sp.Route]()),
 		gfs.WithFederationCollectors(nil),
-	}
-	if sp.Shards > 0 {
-		fedOpts = append(fedOpts, gfs.WithFederationShards(sp.Shards))
 	}
 	if obs != nil {
 		fedOpts = append(fedOpts, gfs.WithFederationObserver(obs))

@@ -231,7 +231,7 @@ func (s *Server) runSession(sess *Session) {
 			s.met.recordTTFE(s.cfg.Clock.Now().Sub(sess.created))
 		}
 	})
-	out, err := runSpec(sess.ctx, sess.spec, sess.src, obs)
+	out, err := s.runRecovered(sess, obs)
 	var st State
 	var msg string
 	switch {
@@ -245,6 +245,24 @@ func (s *Server) runSession(sess *Session) {
 	if sess.finish(st, out, msg) {
 		s.met.sessionFinished(st)
 	}
+}
+
+// runRecovered is runSpec with a panic turned into the session's
+// error, so one bad run fails its own session instead of the daemon.
+// The source is closed again after a panic: the run may have died
+// before its deferred Close was set up, and every source the service
+// builds tolerates a second Close.
+func (s *Server) runRecovered(sess *Session, obs gfs.Observer) (out runOutcome, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.met.sessionPanicked()
+			if sess.src != nil {
+				sess.src.Close()
+			}
+			out, err = runOutcome{}, fmt.Errorf("run panicked: %v", p)
+		}
+	}()
+	return runSpec(sess.ctx, sess.spec, sess.src, obs)
 }
 
 // handleCreate accepts a new session. An application/json (or bare)

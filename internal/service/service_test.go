@@ -14,6 +14,9 @@ import (
 	"time"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/baselines"
+	"github.com/sjtucitlab/gfs/internal/sched"
+	"github.com/sjtucitlab/gfs/internal/task"
 )
 
 // newTestServer mounts a service on httptest with test-friendly
@@ -382,13 +385,115 @@ func TestValidation(t *testing.T) {
 	for _, spec := range cases {
 		postSpec(t, ts, spec, http.StatusBadRequest)
 	}
-	resp, err := http.Get(ts.URL + "/v1/sessions/s-999999")
+	// JSON cannot carry NaN, but a query string can; NaN fails every
+	// ordered comparison, so a range check must reject it explicitly.
+	resp, err := http.Post(ts.URL+"/v1/sessions?scheduler=yarn&nodes=4&spot_scale=NaN", "application/x-ndjson", bytes.NewReader(traceBody(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("spot_scale=NaN = %d, want 400", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/v1/sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list struct {
+		Sessions []sessionStatus `json:"sessions"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("GET /v1/sessions = %d, decode error %v", resp.StatusCode, err)
+	}
+	resp, err = http.Get(ts.URL + "/v1/sessions/s-999999")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown session = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestShardsFieldIgnored: the deprecated shards field still decodes,
+// from JSON and from the query string, and selects nothing — the
+// report is byte-identical to the same spec without it.
+func TestShardsFieldIgnored(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	spec := smallSpec()
+	spec.Shards = 4
+	st := postSpec(t, ts, spec, http.StatusAccepted)
+	waitState(t, ts, st.ID, StateDone, 30*time.Second)
+	if got, want := fetchReport(t, ts, st.ID, "jsonl"), referenceJSONL(t, smallSpec(), nil); !bytes.Equal(got, want) {
+		t.Fatal("shards=4 (JSON) report differs from the spec without shards")
+	}
+
+	body := traceBody(t)
+	resp, err := http.Post(ts.URL+"/v1/sessions?scheduler=yarn&nodes=4&shards=4", "application/x-ndjson", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || err != nil {
+		t.Fatalf("shards=4 upload = %d, decode error %v", resp.StatusCode, err)
+	}
+	waitState(t, ts, st.ID, StateDone, 30*time.Second)
+	src, err := gfs.OpenTraceReader(bytes.NewReader(body), gfs.TraceFormatAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fetchReport(t, ts, st.ID, "jsonl"), referenceJSONL(t, RunSpec{Scheduler: "yarn", Nodes: 4}, src); !bytes.Equal(got, want) {
+		t.Fatal("shards=4 (query) report differs from the spec without shards")
+	}
+}
+
+// panicScheduler is YARN-CS whose every placement panics.
+type panicScheduler struct{ sched.Scheduler }
+
+func (panicScheduler) Schedule(*sched.Context, *task.Task) (*sched.Decision, error) {
+	panic("scheduler exploded")
+}
+
+// TestRunPanicFailsSession: a run that panics mid-simulation ends its
+// own session as failed, counts on /metrics, and leaves the daemon
+// serving — a concurrent healthy session still completes.
+func TestRunPanicFailsSession(t *testing.T) {
+	schedulers["boom"] = func() (sched.Scheduler, sched.QuotaPolicy) {
+		return panicScheduler{baselines.NewYARNCS()}, nil
+	}
+	t.Cleanup(func() { delete(schedulers, "boom") })
+	_, ts := newTestServer(t, Config{Workers: 2})
+
+	boomSpec := smallSpec()
+	boomSpec.Scheduler = "boom"
+	boom := postSpec(t, ts, boomSpec, http.StatusAccepted)
+	ok := postSpec(t, ts, smallSpec(), http.StatusAccepted)
+
+	st := waitState(t, ts, boom.ID, StateFailed, 30*time.Second)
+	if !strings.Contains(st.Error, "scheduler exploded") {
+		t.Fatalf("failed session error = %q, want the panic value", st.Error)
+	}
+	waitState(t, ts, ok.ID, StateDone, 30*time.Second)
+	after := postSpec(t, ts, smallSpec(), http.StatusAccepted)
+	waitState(t, ts, after.ID, StateDone, 30*time.Second)
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		"gfsd_sessions_panicked_total 1",
+		`gfsd_sessions_finished_total{state="failed"} 1`,
+		`gfsd_sessions_finished_total{state="done"} 2`,
+	} {
+		if !strings.Contains(string(data), want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, data)
+		}
 	}
 }
 

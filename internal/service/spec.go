@@ -39,10 +39,11 @@ type RunSpec struct {
 	SpotScale float64 `json:"spot_scale,omitempty"`
 	// Seed seeds the generated workload (default 17).
 	Seed int64 `json:"seed,omitempty"`
-	// Shards partitions the run's event loop across a worker pool
-	// (see gfs.WithShards); results are byte-identical at any shard
-	// count, so this is purely a latency knob. Zero defers to the
-	// daemon's environment (GFS_SHARDS), then serial.
+	// Shards is accepted so existing clients' specs still decode; it
+	// selects nothing and reports are byte-identical with or without
+	// it.
+	//
+	// Deprecated: the simulator has one serial event loop.
 	Shards int `json:"shards,omitempty"`
 	// Scenario names a storm profile (rack-failure, zone-cascade,
 	// diurnal-storm, random-storms); empty runs calm.
@@ -211,9 +212,8 @@ const (
 	maxGPUsPerNode = 16
 	maxDays        = 14
 	maxSpotScale   = 16
-	// maxSpecShards caps per-session parallelism well below the
-	// engine's own clamp: shard workers multiply across the daemon's
-	// concurrent sessions.
+	// maxSpecShards bounds the deprecated, ignored shards field at
+	// the range it always accepted.
 	maxSpecShards = 16
 	// maxLeadS bounds autoscale lead and grace durations to the
 	// longest run a spec can describe; anything beyond is a typo, and
@@ -267,7 +267,7 @@ func (sp *RunSpec) validate() error {
 	if sp.Days < 1 || sp.Days > maxDays {
 		return fmt.Errorf("days must be in [1, %d], got %d", maxDays, sp.Days)
 	}
-	if sp.SpotScale < 0 || sp.SpotScale > maxSpotScale {
+	if !(sp.SpotScale >= 0 && sp.SpotScale <= maxSpotScale) { // rejects NaN
 		return fmt.Errorf("spot_scale must be in [0, %d], got %g", maxSpotScale, sp.SpotScale)
 	}
 	if sp.Shards < 0 || sp.Shards > maxSpecShards {

@@ -125,16 +125,8 @@ func (q *Queue) PushFront(at Time, value any) {
 }
 
 func (q *Queue) push(at Time, class uint8, value any) {
-	q.pushSeq(at, class, value, q.seq)
+	e := Event{At: at, Value: value, class: class, seq: q.seq}
 	q.seq++
-}
-
-// pushSeq schedules an event with an externally assigned insertion
-// sequence. ShardedQueue uses it to stamp a single global sequence
-// across its member queues so the merged delivery order is identical
-// to a lone Queue receiving the same pushes.
-func (q *Queue) pushSeq(at Time, class uint8, value any, seq uint64) {
-	e := Event{At: at, Value: value, class: class, seq: seq}
 	q.n++
 	if q.cur >= len(q.buckets) || at >= q.horizon {
 		// No ring yet, or the ring is fully drained: hold the event

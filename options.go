@@ -97,19 +97,12 @@ func WithScenario(sc *Scenario) Option {
 	}
 }
 
-// WithShards partitions the run across n event-loop shards backed by
-// a worker pool: each org's task events live on their own shard
-// queue, demand accounting fans out over org shards, and large
-// placement scans fan out over contiguous node ranges. Every fan-out
-// merges deterministically, so any shard count produces byte-
-// identical results to an unsharded run — shards change wall-clock
-// time only. Zero (the default) falls back to the GFS_SHARDS
-// environment variable, then to 1 (serial); a sensible value for big
-// clusters is runtime.NumCPU. See docs/performance.md for when
-// sharding pays.
-func WithShards(n int) Option {
-	return func(e *Engine) { e.cfg.Shards = n }
-}
+// WithShards is kept so existing callers still build; it selects
+// nothing.
+//
+// Deprecated: the simulator has one serial event loop. Run several
+// simulations at once (RunBatch) for multi-core throughput.
+func WithShards(n int) Option { return func(*Engine) {} }
 
 // WithTraceSource attaches a streaming trace to the engine for
 // replay: Engine.RunTrace pulls tasks from the source as the
