@@ -181,6 +181,23 @@ func autoscaleStormCase(seed int64) string {
 	return log.String()
 }
 
+// backlogCase runs a spot ×4 trace over a fresh 16-node cluster with
+// a failure budget of 3 per pass, so passes hit the cap and keep a
+// deep backlog, and preemption victims merge back mid-pass. A nil
+// scheduler runs the default GFS stack.
+func backlogCase(sched gfs.Scheduler, seed int64) string {
+	log := &gfs.EventLog{}
+	opts := []gfs.Option{gfs.WithObserver(log), gfs.WithMaxFailuresPerPass(3)}
+	if sched != nil {
+		opts = append(opts, gfs.WithScheduler(sched), gfs.WithQuota(gfs.StaticQuota(0.5)))
+	}
+	cfg := goldenTraceCfg(seed)
+	cfg.SpotScale = 4
+	eng := gfs.NewEngine(gfs.NewCluster("A100", 16, 8), opts...)
+	eng.Run(gfs.GenerateTrace(cfg))
+	return log.String()
+}
+
 // goldenCases is the scenario × scheduler × seed matrix. Names are
 // fixture file names; keep them stable — renames orphan fixtures.
 var goldenCases = []struct {
@@ -201,6 +218,8 @@ var goldenCases = []struct {
 	{"autoscale_predictive_seed12", func() string { return autoscaleCase(gfs.AutoscalePredictive, 12) }},
 	{"autoscale_reactive_seed13", func() string { return autoscaleCase(gfs.AutoscaleReactive, 13) }},
 	{"autoscale_storm_seed14", func() string { return autoscaleStormCase(14) }},
+	{"backlog_gfs_seed10", func() string { return backlogCase(nil, 10) }},
+	{"backlog_yarn_seed10", func() string { return backlogCase(gfs.NewYARNCS(), 10) }},
 }
 
 // TestGoldenCorpus fails on any byte drift between the current
