@@ -179,6 +179,37 @@ func BenchmarkReport(b *testing.B) {
 	}
 }
 
+// BenchmarkGFSBacklog is the gated benchmark of the paper's own path:
+// the full GFS system (GDE + SQA + PTS, H = 1) on the paper's 287x8
+// A100 pool over a one-day trace at the high spot load (x4). The spot
+// backlog keeps the scheduling pass, PTS preemption and per-tick GDE
+// inference busy. The estimator, demand history and trace are built
+// outside the timer.
+func BenchmarkGFSBacklog(b *testing.B) {
+	scale := experiments.PaperScale()
+	scale.Days = 1
+	est, err := scale.TrainEstimator()
+	if err != nil {
+		b.Fatal(err)
+	}
+	history := scale.DemandHistory()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tasks := scale.Trace(4)
+		eng := gfs.NewEngine(scale.NewCluster(),
+			gfs.WithSystem(scale.NewGFS(est, experiments.GFSFull, 1)),
+			gfs.WithInitialOrgDemand(history))
+		b.StartTimer()
+		res := eng.Run(tasks)
+		if i == b.N-1 {
+			b.ReportMetric(float64(len(tasks)), "tasks")
+			b.ReportMetric(100*res.AllocationRate, "allocPct")
+		}
+	}
+}
+
 // BenchmarkSim10K is the scale gate of the hot-path rewrite — a single
 // op must stay under two seconds (see docs/performance.md), which only
 // holds while per-event costs stay flat in cluster size. It drives one

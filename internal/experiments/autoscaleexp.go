@@ -126,7 +126,7 @@ func AutoscaleExperiment(scale SimScale) ([]AutoscaleRow, error) {
 			gfs.NewCostCollector(gfs.CostConfig{BaselineRates: baselines}),
 		}
 		opts := []gfs.Option{
-			gfs.WithInitialOrgDemand(scale.demandHistory()),
+			gfs.WithInitialOrgDemand(scale.DemandHistory()),
 			gfs.WithCollectors(collectors...),
 		}
 		if r.auto {

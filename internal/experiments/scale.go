@@ -223,14 +223,15 @@ func (s SimScale) NewGFS(est *gde.Estimator, variant GFSVariant, guaranteeHours 
 func (s SimScale) RunGFS(sys *core.System, tasks []*task.Task, extra ...gfs.Option) *sched.Result {
 	opts := []gfs.Option{
 		gfs.WithSystem(sys),
-		gfs.WithInitialOrgDemand(s.demandHistory()),
+		gfs.WithInitialOrgDemand(s.DemandHistory()),
 	}
 	return gfs.NewEngine(s.NewCluster(), append(opts, extra...)...).Run(tasks)
 }
 
-// demandHistory returns the tail of the training panel used as
-// initial forecast context.
-func (s SimScale) demandHistory() map[string][]float64 {
+// DemandHistory returns the tail of the training panel used as
+// initial forecast context (RunGFS passes it via
+// gfs.WithInitialOrgDemand).
+func (s SimScale) DemandHistory() map[string][]float64 {
 	panel := s.demandPanel(s.TrainDays)
 	keep := s.GDEHistory
 	for name, series := range panel {
@@ -253,7 +254,7 @@ func (s SimScale) RunBaseline(sc sched.Scheduler, quota sched.QuotaPolicy, tasks
 func (s SimScale) ReplayGFS(sys *core.System, src trace.Source, extra ...gfs.Option) (*sched.Result, error) {
 	opts := []gfs.Option{
 		gfs.WithSystem(sys),
-		gfs.WithInitialOrgDemand(s.demandHistory()),
+		gfs.WithInitialOrgDemand(s.DemandHistory()),
 		gfs.WithTraceSource(src),
 	}
 	return gfs.NewEngine(s.NewCluster(), append(opts, extra...)...).RunTrace()

@@ -28,7 +28,10 @@ type SimConfig struct {
 	Grace simclock.Duration
 	// MaxFailuresPerPass bounds wasted work scanning a long
 	// pending queue; once this many placement attempts fail in one
-	// pass, the rest wait for the next event.
+	// pass, the rest wait for the next event. Past the cap the pass
+	// only drops tasks that left Pending; tasks whose shape already
+	// failed this pass are skipped without an attempt and do not
+	// count.
 	MaxFailuresPerPass int
 	// IdleTimeout stops the simulation when nothing has progressed
 	// for this long (defaults to 48 h) so permanently unplaceable
@@ -215,10 +218,16 @@ type Simulator struct {
 	hpSorted   bool
 	hpFrontier int
 
-	// failedShapes is the scheduling pass's failed-shape set, reused
-	// across passes. Passes see few distinct failed shapes (bounded
-	// by MaxFailuresPerPass), so a linear scan beats a fresh map.
+	// failedShapes is the scheduling pass's failed-shape set in
+	// failure order, reused across passes and reset by each success.
+	// Passes see few distinct failed shapes (bounded by
+	// MaxFailuresPerPass), so a linear scan beats a fresh map, and
+	// scanning newest first makes the last failed shape a one-compare
+	// memo for a blocked run of equal shapes.
 	failedShapes []taskShape
+	// ctx is the scheduler's Context, reset at the start of each pass
+	// so a pass allocates none.
+	ctx Context
 }
 
 // newFinishEvent takes a finish record from the pool (or allocates
@@ -253,9 +262,12 @@ func shapeOfTask(tk *task.Task) taskShape {
 	return taskShape{typ: tk.Type, pods: tk.Pods, gpusPerPod: tk.GPUsPerPod, model: tk.GPUModel}
 }
 
-// shapeFailed reports whether shape already failed this pass.
+// shapeFailed reports whether shape already failed this pass. The
+// scan runs newest first: the last failed shape is the first compare,
+// and under a Less that keeps equal shapes adjacent (PTS) a blocked
+// run costs one compare per task.
 func (s *Simulator) shapeFailed(shape taskShape) bool {
-	for i := range s.failedShapes {
+	for i := len(s.failedShapes) - 1; i >= 0; i-- {
 		if s.failedShapes[i] == shape {
 			return true
 		}
@@ -1076,11 +1088,11 @@ func (s *Simulator) schedulePass() {
 	}
 	snapshot := s.pending
 	// Victims evicted during the pass land in s.pending (sorted);
-	// kept tasks accumulate separately and the two merge after.
+	// kept tasks compact in place at the front of snapshot and the
+	// two merge after.
 	s.pending = nil
-	ctx := &Context{
+	s.ctx = Context{
 		Now:       s.now,
-		Start:     0,
 		State:     s.state,
 		SpotQuota: s.spotQuota,
 		G:         s.gCount,
@@ -1096,7 +1108,9 @@ func (s *Simulator) schedulePass() {
 	}
 	admitted := 0.0
 
-	var kept []*task.Task
+	// kept counts the tasks compacted into snapshot[:kept]; it never
+	// passes the read index, so no unread entry is overwritten.
+	kept := 0
 	failures := 0
 	// Placement failure is deterministic in the task's shape while
 	// the cluster state is unchanged, so a shape that failed once
@@ -1104,42 +1118,53 @@ func (s *Simulator) schedulePass() {
 	// lets small tasks backfill past blocked large ones without
 	// rescanning the cluster for every queue entry.
 	s.failedShapes = s.failedShapes[:0]
-	for _, tk := range snapshot {
+	i := 0
+	for ; i < len(snapshot) && failures < s.cfg.MaxFailuresPerPass; i++ {
+		tk := snapshot[i]
 		if tk.State != task.Pending {
 			continue
 		}
+		// Keep by default; a placed task gives its slot back.
+		snapshot[kept] = tk
+		kept++
 		shape := shapeOfTask(tk)
-		if failures >= s.cfg.MaxFailuresPerPass || s.shapeFailed(shape) {
-			kept = append(kept, tk)
+		if s.shapeFailed(shape) {
 			continue
 		}
 		if tk.Type == task.Spot {
 			if admitted > 0 && admitted+tk.TotalGPUs() > admitLimit {
-				kept = append(kept, tk)
 				continue // ramp-deferred, not a placement failure
 			}
 			if s.state.Cluster.SpotGPUs("")+tk.TotalGPUs() > s.spotQuota {
-				kept = append(kept, tk)
 				s.failedShapes = append(s.failedShapes, shape)
 				failures++
 				continue
 			}
 		}
-		dec, err := s.cfg.Scheduler.Schedule(ctx, tk)
+		dec, err := s.cfg.Scheduler.Schedule(&s.ctx, tk)
 		if err != nil {
-			kept = append(kept, tk)
 			s.failedShapes = append(s.failedShapes, shape)
 			failures++
 			continue
 		}
+		kept--
 		if tk.Type == task.Spot {
 			admitted += tk.TotalGPUs()
 		}
 		s.apply(tk, dec)
 		s.failedShapes = s.failedShapes[:0]
-		ctx.G, ctx.F = s.gCount, s.fCount
+		s.ctx.G, s.ctx.F = s.gCount, s.fCount
 	}
-	s.mergePending(kept)
+	// Past the failure cap the rest of the queue waits for the next
+	// pass; only tasks that left Pending are dropped.
+	for ; i < len(snapshot); i++ {
+		if tk := snapshot[i]; tk.State == task.Pending {
+			snapshot[kept] = tk
+			kept++
+		}
+	}
+	clear(snapshot[kept:])
+	s.mergePending(snapshot[:kept])
 }
 
 // mergePending merges the kept tasks (already ordered) with the
