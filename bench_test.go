@@ -210,6 +210,35 @@ func BenchmarkGFSBacklog(b *testing.B) {
 	}
 }
 
+// BenchmarkGFS10K is the gated 10k-node run of the paper's own path:
+// the full GFS system (GDE + SQA + PTS, H = 1) on the sim10KScale
+// pool. At this low load nearly every node is idle, so it bounds the
+// per-placement PTS cost at production node count. The estimator and
+// demand history are built outside the timer.
+func BenchmarkGFS10K(b *testing.B) {
+	scale := sim10KScale()
+	est, err := scale.TrainEstimator()
+	if err != nil {
+		b.Fatal(err)
+	}
+	history := scale.DemandHistory()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tasks := scale.Trace(1)
+		eng := gfs.NewEngine(gfs.NewCluster("A100", scale.Nodes, scale.GPUsPerNode),
+			gfs.WithSystem(scale.NewGFS(est, experiments.GFSFull, 1)),
+			gfs.WithInitialOrgDemand(history))
+		b.StartTimer()
+		res := eng.Run(tasks)
+		if i == b.N-1 {
+			b.ReportMetric(float64(len(tasks)), "tasks")
+			b.ReportMetric(100*res.AllocationRate, "allocPct")
+		}
+	}
+}
+
 // BenchmarkSim10K is the scale gate of the hot-path rewrite — a single
 // op must stay under two seconds (see docs/performance.md), which only
 // holds while per-event costs stay flat in cluster size. It drives one

@@ -9,8 +9,8 @@ import (
 // Cluster is a set of nodes, indexed by GPU model for heterogeneous
 // pools.
 type Cluster struct {
-	nodes   []*Node
-	byModel map[string][]*Node
+	all     nodeSet
+	byModel map[string]*nodeSet
 	byID    map[int]*Node
 
 	// version counts occupancy mutations across all member nodes
@@ -32,9 +32,34 @@ type Cluster struct {
 	aggUsed, aggHP, aggSpot float64
 }
 
+// nodeSet is one NodesOfModel slice, in ascending ID order, with its
+// pristine bitset: bit i (word i/64, bit i%64) is set exactly when
+// nodes[i] is pristine (see Node.pristine). Member nodes keep their
+// bits current on every mutation.
+type nodeSet struct {
+	nodes    []*Node
+	pristine []uint64
+}
+
+// add appends n with its bit clear and returns its position.
+func (s *nodeSet) add(n *Node) int32 {
+	i := len(s.nodes)
+	s.nodes = append(s.nodes, n)
+	if i&63 == 0 {
+		s.pristine = append(s.pristine, 0)
+	}
+	return int32(i)
+}
+
+// pristineAt reports bit i.
+func (s *nodeSet) pristineAt(i int) bool { return s.pristine[i>>6]&(1<<(i&63)) != 0 }
+
+// flip toggles bit i.
+func (s *nodeSet) flip(i int) { s.pristine[i>>6] ^= 1 << (i & 63) }
+
 // New builds an empty cluster.
 func New() *Cluster {
-	return &Cluster{byModel: make(map[string][]*Node), byID: make(map[int]*Node), version: 1}
+	return &Cluster{byModel: make(map[string]*nodeSet), byID: make(map[int]*Node), version: 1}
 }
 
 // NewHomogeneous builds a cluster of n nodes with gpusPerNode GPUs of
@@ -74,12 +99,22 @@ func NewHeterogeneous(pools []Pool) *Cluster {
 	return c
 }
 
-// AddNode registers a node.
+// AddNode registers a node. Node IDs must ascend in insertion order,
+// which keeps every NodesOfModel slice in ID order; AddNode panics on
+// an ID not above every ID already in the cluster.
 func (c *Cluster) AddNode(n *Node) {
-	c.nodes = append(c.nodes, n)
-	c.byModel[n.Model] = append(c.byModel[n.Model], n)
-	c.byID[n.ID] = n
+	if k := len(c.all.nodes); k > 0 && n.ID <= c.all.nodes[k-1].ID {
+		panic(fmt.Sprintf("cluster: AddNode(%d) after node %d: IDs must ascend", n.ID, c.all.nodes[k-1].ID))
+	}
+	ms := c.byModel[n.Model]
+	if ms == nil {
+		ms = &nodeSet{}
+		c.byModel[n.Model] = ms
+	}
 	n.owner = c
+	n.allIdx, n.modelIdx = c.all.add(n), ms.add(n)
+	n.syncPristine()
+	c.byID[n.ID] = n
 	if !n.down {
 		c.upCapacity += n.Capacity()
 	}
@@ -107,13 +142,11 @@ func (c *Cluster) Node(id int) *Node { return c.byID[id] }
 
 // MaxNodeID returns the highest node ID, or -1 for an empty cluster.
 func (c *Cluster) MaxNodeID() int {
-	maxID := -1
-	for _, n := range c.nodes {
-		if n.ID > maxID {
-			maxID = n.ID
-		}
+	if len(c.all.nodes) == 0 {
+		return -1
 	}
-	return maxID
+	// AddNode keeps IDs ascending, so the last node holds the maximum.
+	return c.all.nodes[len(c.all.nodes)-1].ID
 }
 
 // DomainName returns the canonical failure-domain name of rack r in
@@ -137,8 +170,8 @@ func (c *Cluster) AssignDomains(zones, racksPerZone int) {
 		racksPerZone = 1
 	}
 	racks := zones * racksPerZone
-	n := len(c.nodes)
-	for i, node := range c.nodes {
+	n := len(c.all.nodes)
+	for i, node := range c.all.nodes {
 		// Rack r gets nodes [r*n/racks, (r+1)*n/racks): contiguous,
 		// balanced to within one node, no empty racks while n ≥ racks.
 		r := i * racks / n
@@ -149,7 +182,7 @@ func (c *Cluster) AssignDomains(zones, racksPerZone int) {
 // Domains returns the distinct non-empty failure domains, sorted.
 func (c *Cluster) Domains() []string {
 	seen := make(map[string]bool)
-	for _, n := range c.nodes {
+	for _, n := range c.all.nodes {
 		if n.Domain != "" {
 			seen[n.Domain] = true
 		}
@@ -170,7 +203,7 @@ func (c *Cluster) NodesInDomain(domain string) []*Node {
 		return nil
 	}
 	var out []*Node
-	for _, n := range c.nodes {
+	for _, n := range c.all.nodes {
 		if n.Domain == domain || strings.HasPrefix(n.Domain, domain+"/") {
 			out = append(out, n)
 		}
@@ -215,7 +248,7 @@ func (c *Cluster) SiblingDomains(domain string) []string {
 // UpNodes counts nodes that are not down.
 func (c *Cluster) UpNodes() int {
 	up := 0
-	for _, n := range c.nodes {
+	for _, n := range c.all.nodes {
 		if !n.Down() {
 			up++
 		}
@@ -224,16 +257,39 @@ func (c *Cluster) UpNodes() int {
 }
 
 // Nodes returns all nodes in ID order.
-func (c *Cluster) Nodes() []*Node { return c.nodes }
+func (c *Cluster) Nodes() []*Node { return c.all.nodes }
 
 // NodesOfModel returns nodes of the given model, or all nodes when
 // model is empty.
 func (c *Cluster) NodesOfModel(model string) []*Node {
-	if model == "" {
-		return c.nodes
-	}
-	return c.byModel[model]
+	return c.nodeSet(model).nodes
 }
+
+// PristineOfModel returns the pristine bitset of NodesOfModel(model):
+// bit i of word i/64 is set exactly when node i of that slice is
+// schedulable, holds no allocation and has never recorded an
+// eviction. Such nodes are interchangeable to an occupancy- and
+// eviction-driven scorer; only their IDs differ. The words belong to
+// the cluster and track its mutations; callers must not modify them.
+func (c *Cluster) PristineOfModel(model string) []uint64 {
+	return c.nodeSet(model).pristine
+}
+
+// nodeSet returns the slice for model ("" = all nodes); an unknown
+// model yields an empty set.
+func (c *Cluster) nodeSet(model string) *nodeSet {
+	if model == "" {
+		return &c.all
+	}
+	if ms := c.byModel[model]; ms != nil {
+		return ms
+	}
+	return &noNodes
+}
+
+// noNodes is the shared empty set for unknown models; nothing adds
+// to it.
+var noNodes nodeSet
 
 // Models lists the distinct GPU models, sorted.
 func (c *Cluster) Models() []string {
@@ -255,7 +311,7 @@ func (c *Cluster) refreshAgg() {
 		return
 	}
 	used, hp, spot := 0.0, 0.0, 0.0
-	for _, n := range c.nodes {
+	for _, n := range c.all.nodes {
 		if n.down {
 			continue
 		}
@@ -353,7 +409,7 @@ func (c *Cluster) AllocationRate(model string) float64 {
 // Fragmentation sums the per-node fragmentation measure.
 func (c *Cluster) Fragmentation() float64 {
 	f := 0.0
-	for _, n := range c.nodes {
+	for _, n := range c.all.nodes {
 		f += n.Fragmentation()
 	}
 	return f
@@ -362,5 +418,5 @@ func (c *Cluster) Fragmentation() float64 {
 // String implements fmt.Stringer.
 func (c *Cluster) String() string {
 	return fmt.Sprintf("cluster (%d nodes, %.0f GPUs, %.1f%% allocated)",
-		len(c.nodes), c.TotalGPUs(""), 100*c.AllocationRate(""))
+		len(c.all.nodes), c.TotalGPUs(""), 100*c.AllocationRate(""))
 }

@@ -72,7 +72,14 @@ type Node struct {
 	// wholeFree counts cards with used == 0, kept in lockstep with
 	// gpus so WholeFreeGPUs — the whole-card admission test run for
 	// every node on every placement — is O(1) instead of a card scan.
-	wholeFree int
+	wholeFree int32
+	// allIdx and modelIdx (below) are the node's positions in the
+	// owner's all-nodes slice and in its model's slice, where its
+	// pristine bits live. Both are int32 and packed into padding so
+	// Node stays in the 176-byte allocation class: growing it to 208
+	// bytes measured ~20% slower on the 10k-node YARN-CS run, whose
+	// placement scan reads every node.
+	allIdx int32
 
 	// version counts occupancy mutations (placements, releases,
 	// up/down transitions). Schedulers and the cluster's aggregate
@@ -93,6 +100,7 @@ type Node struct {
 	// cordoned marks a draining node: it accepts no new placements
 	// but keeps its running pods and stays in capacity totals.
 	cordoned bool
+	modelIdx int32
 
 	// pods tracks how many pods of each task run here and the
 	// per-pod GPU request, so victims can be released. Sorted by
@@ -108,17 +116,38 @@ type podAlloc struct {
 
 // NewNode creates a node with capacity GPUs of the given model.
 func NewNode(id int, model string, capacity int) *Node {
-	n := &Node{ID: id, Model: model, gpus: make([]gpu, capacity), wholeFree: capacity}
+	n := &Node{ID: id, Model: model, gpus: make([]gpu, capacity), wholeFree: int32(capacity)}
 	return n
 }
 
-// bump records an occupancy mutation on the node's version and
-// invalidates the owning cluster's aggregate cache.
+// bump records an occupancy mutation on the node's version,
+// invalidates the owning cluster's aggregate cache and refreshes the
+// node's pristine bits.
 func (n *Node) bump() {
 	n.version++
 	if n.owner != nil {
 		n.owner.version++
+		n.syncPristine()
 	}
+}
+
+// pristine reports whether the node is schedulable, holds nothing and
+// has no eviction history. RecordEviction never empties the history,
+// so an evicted-on node stays non-pristine for good.
+func (n *Node) pristine() bool {
+	return !n.down && !n.cordoned && n.hpUsed == 0 && n.spotUsed == 0 && len(n.evictions) == 0
+}
+
+// syncPristine brings the node's bits in the owner's bitsets in line
+// with pristine(). Most mutations leave the bit as it is, so the model
+// set is looked up only when it flips.
+func (n *Node) syncPristine() {
+	c := n.owner
+	if c == nil || n.pristine() == c.all.pristineAt(int(n.allIdx)) {
+		return
+	}
+	c.all.flip(int(n.allIdx))
+	c.byModel[n.Model].flip(int(n.modelIdx))
 }
 
 // Version returns the node's occupancy version: it changes exactly
@@ -165,16 +194,19 @@ func (n *Node) SetDown(down bool) {
 				n.owner.upCapacity += len(n.gpus)
 			}
 		}
+		n.down = down
 		n.bump()
 	}
-	n.down = down
-	if !down {
-		n.cordoned = false
+	if !down && n.cordoned {
+		n.SetCordoned(false)
 	}
 }
 
 // SetCordoned cordons or uncordons the node.
-func (n *Node) SetCordoned(c bool) { n.cordoned = c }
+func (n *Node) SetCordoned(c bool) {
+	n.cordoned = c
+	n.syncPristine()
+}
 
 // IdleGPUs returns the total unallocated GPU capacity, counting
 // fractional remainders.
@@ -188,7 +220,7 @@ func (n *Node) WholeFreeGPUs() int {
 	if !n.Schedulable() {
 		return 0
 	}
-	return n.wholeFree
+	return int(n.wholeFree)
 }
 
 // WholeFreeGPUsExcluding counts the cards that would be completely
@@ -256,7 +288,7 @@ func (n *Node) CanFitPod(tk *task.Task) bool {
 		}
 		return false
 	}
-	return n.wholeFree >= int(g)
+	return int(n.wholeFree) >= int(g)
 }
 
 // PlacePod allocates the GPUs for one pod of tk. It returns
@@ -290,7 +322,7 @@ func (n *Node) PlacePod(tk *task.Task) error {
 		n.addShare(idx, tk.ID, g, isSpot)
 	} else {
 		need := int(g)
-		if n.wholeFree < need {
+		if int(n.wholeFree) < need {
 			return ErrInsufficient
 		}
 		placed := 0
@@ -426,6 +458,7 @@ func (n *Node) RecordEviction(t simclock.Time) {
 	if trim > 0 {
 		n.evictions = append(n.evictions[:0], n.evictions[trim:]...)
 	}
+	n.syncPristine()
 }
 
 // EvictionsSince counts spot evictions on this node in (since, now].

@@ -9,6 +9,7 @@ package pts
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"sort"
 
 	"github.com/sjtucitlab/gfs/internal/cluster"
@@ -25,7 +26,9 @@ type Config struct {
 	// Gamma balances short- vs long-term eviction history (Eq. 15).
 	Gamma float64
 	// ShortWindow and LongWindow are the eviction history horizons
-	// (1 h and 24 h in production).
+	// (1 h and 24 h in production). New replaces a non-positive
+	// window with its DefaultConfig value, so Eq. 15 never divides
+	// by a zero window.
 	ShortWindow, LongWindow simclock.Duration
 	// PenaltyM is the eviction penalty intensity m (Eq. 16).
 	PenaltyM float64
@@ -33,7 +36,8 @@ type Config struct {
 	// (Eq. 19).
 	Beta float64
 	// BreakerDuration is how long a node stays blacklisted for
-	// spot placements after its spot Score3 reaches 0.
+	// spot placements after its spot Score3 reaches 0. New replaces
+	// a non-positive duration with its DefaultConfig value.
 	BreakerDuration simclock.Duration
 	// DisableCoLocation and DisableEvictionAware support the GFS-s
 	// ablation (packing only).
@@ -83,8 +87,20 @@ type cachedScore struct {
 	s2HP, s2SP float64
 }
 
-// New creates a PTS scheduler.
+// New creates a PTS scheduler. A non-positive ShortWindow, LongWindow
+// or BreakerDuration takes its Table 4 default, so a partly-set Config
+// keeps eviction awareness and every score stays finite.
 func New(cfg Config) *Scheduler {
+	def := DefaultConfig()
+	if cfg.ShortWindow <= 0 {
+		cfg.ShortWindow = def.ShortWindow
+	}
+	if cfg.LongWindow <= 0 {
+		cfg.LongWindow = def.LongWindow
+	}
+	if cfg.BreakerDuration <= 0 {
+		cfg.BreakerDuration = def.BreakerDuration
+	}
 	return &Scheduler{cfg: cfg, blacklist: make(map[int]simclock.Time)}
 }
 
@@ -197,32 +213,60 @@ func (s *Scheduler) nonPreemptive(ctx *sched.Context, tk *task.Task) (*sched.Dec
 
 // bestNode filters and scores candidates for one pod, keeping the
 // single maximum of the lexicographic (score1, score2, score3,
-// lowest-ID) order in one pass. The comparator is exactly the one the
-// former sort used, and node-ID tie-breaking makes it a total order,
-// so the argmax equals the sorted head.
+// lowest-ID) order in one pass. Node-ID tie-breaking makes the order
+// total, so the argmax is the sorted head.
+//
+// Pristine nodes (Cluster.PristineOfModel) all score s1 = s2 = 0 and
+// the same s3 (0 for HP, 1 for spot, 0.5 without eviction awareness),
+// never trip the breaker and are never blacklisted, since both need
+// eviction history. They differ only by ID, and the model slice
+// ascends by ID, so of them only the first that fits can win. The
+// walk therefore visits every non-pristine node plus that one
+// pristine node, and skips the rest word by word.
 func (s *Scheduler) bestNode(ctx *sched.Context, tk *task.Task) *cluster.Node {
+	cl := ctx.State.Cluster
+	nodes := cl.NodesOfModel(tk.GPUModel)
 	colocFirst := s.cfg.CoLocationFirst
 	var best scored
-	for _, n := range ctx.State.Cluster.NodesOfModel(tk.GPUModel) {
-		if !n.CanFitPod(tk) {
-			continue
+	pristineFit := false
+	for w, word := range cl.PristineOfModel(tk.GPUModel) {
+		base := w << 6
+		visit := ^word
+		if !pristineFit {
+			visit = ^uint64(0)
 		}
-		s1, s2, s3 := s.scores(ctx, n, tk)
-		if tk.Type == task.Spot && !s.cfg.DisableEvictionAware && tk.GPUsPerPod >= 1 {
-			// Alg. 1 line 7: whole-card spot pods require
-			// Score3 > 0; tripping nodes enter the breaker
-			// blacklist.
-			if s3 <= 0 {
-				s.tripBreaker(n, ctx.Now)
+		for visit != 0 {
+			b := bits.TrailingZeros64(visit)
+			visit &= visit - 1
+			if base+b >= len(nodes) {
+				break
+			}
+			n := nodes[base+b]
+			if !n.CanFitPod(tk) {
 				continue
 			}
-			if s.spotBlocked(n, ctx.Now) {
-				continue
+			if word&(1<<b) != 0 {
+				// The first pristine fit stands for all the rest.
+				pristineFit = true
+				visit &^= word
 			}
-		}
-		cand := scored{node: n, s1: s1, s2: s2, s3: s3}
-		if best.node == nil || scoredBetter(&cand, &best, colocFirst) {
-			best = cand
+			s1, s2, s3 := s.scores(ctx, n, tk)
+			if tk.Type == task.Spot && !s.cfg.DisableEvictionAware && tk.GPUsPerPod >= 1 {
+				// Alg. 1 line 7: whole-card spot pods require
+				// Score3 > 0; tripping nodes enter the breaker
+				// blacklist.
+				if s3 <= 0 {
+					s.tripBreaker(n, ctx.Now)
+					continue
+				}
+				if s.spotBlocked(n, ctx.Now) {
+					continue
+				}
+			}
+			cand := scored{node: n, s1: s1, s2: s2, s3: s3}
+			if best.node == nil || scoredBetter(&cand, &best, colocFirst) {
+				best = cand
+			}
 		}
 	}
 	return best.node
